@@ -798,7 +798,7 @@ def _cmd_serve_queries(args) -> int:
     return 0 if chain_ok else 1
 
 
-def _parse_injections(specs, queries, dim, growth_records=200):
+def _parse_serving_injections(specs, queries, dim, growth_records=200):
     """Parse ``KIND@QUERY[:REPLICA]`` CLI fault specs."""
     from repro.resilience import ServingFaultSpec
 
@@ -848,8 +848,9 @@ def _cmd_serve_cluster(args) -> int:
           f"(dimension {store.dimension}, version {store.version}), "
           f"{args.replicas} replicas")
 
-    specs = _parse_injections(args.inject, args.queries, store.dimension,
-                              growth_records=args.growth_records)
+    specs = _parse_serving_injections(args.inject, args.queries,
+                                      store.dimension,
+                                      growth_records=args.growth_records)
     plan = ServingFaultPlan(specs)
     if args.seeded_faults:
         seeded = ServingFaultPlan.seeded(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -66,6 +67,10 @@ class GovernanceLog:
         self.path = path
         self._entries = entries
         self._handle = open(path / _EVENTS_FILE, "a", encoding="utf-8")
+        # One append at a time: seq and chain come from the current head,
+        # and the head sidecar is replaced through one temp file. verify
+        # holds it too, so it never sees an entry whose head is unwritten.
+        self._lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -199,23 +204,24 @@ class GovernanceLog:
 
     def verify(self) -> bool:
         """Re-verify the in-memory chain against the durable head; raises."""
-        if not self._verify_entries():
-            raise GovernanceLogError(
-                f"governance log at {self.path} failed chain verification"
-            )
-        head_path = self.path / _HEAD_FILE
-        try:
-            head = json.loads(head_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise GovernanceLogError(
-                f"governance head sidecar unreadable: {exc}"
-            ) from exc
-        if head.get("seq") != len(self._entries) - 1 or \
-                head.get("chain") != self.head.hex():
-            raise GovernanceLogError(
-                "governance head sidecar disagrees with the log"
-            )
-        return True
+        with self._lock:
+            if not self._verify_entries():
+                raise GovernanceLogError(
+                    f"governance log at {self.path} failed chain verification"
+                )
+            head_path = self.path / _HEAD_FILE
+            try:
+                head = json.loads(head_path.read_text())
+            except (OSError, ValueError) as exc:
+                raise GovernanceLogError(
+                    f"governance head sidecar unreadable: {exc}"
+                ) from exc
+            if head.get("seq") != len(self._entries) - 1 or \
+                    head.get("chain") != self.head.hex():
+                raise GovernanceLogError(
+                    "governance head sidecar disagrees with the log"
+                )
+            return True
 
     # -- the append protocol ------------------------------------------------------
 
@@ -234,18 +240,19 @@ class GovernanceLog:
         on: the line is flushed and fsynced *before* the head sidecar is
         replaced, so a crash leaves either a torn unacknowledged line or
         a full unacknowledged line — never an acknowledged entry that is
-        not on disk.
+        not on disk. Concurrent appends serialise on the log's lock.
         """
-        seq = len(self._entries)
-        payload = {"seq": seq, "kind": kind, "details": details}
-        chain = self._CHAIN.entry_hash(self.head, payload)
-        entry = dict(payload, chain=chain.hex())
-        self._handle.write(canonical_json(entry).decode("utf-8") + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._entries.append(entry)
-        self._write_head()
-        return entry
+        with self._lock:
+            seq = len(self._entries)
+            payload = {"seq": seq, "kind": kind, "details": details}
+            chain = self._CHAIN.entry_hash(self.head, payload)
+            entry = dict(payload, chain=chain.hex())
+            self._handle.write(canonical_json(entry).decode("utf-8") + "\n")
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._entries.append(entry)
+            self._write_head()
+            return entry
 
     def _write_head(self) -> None:
         atomic_write_text(

@@ -4,9 +4,11 @@ Validated encrypted records are the system of record for training: a
 segment is written once — at upload-session commit — and never modified.
 The format mirrors :class:`repro.serving.store.LinkageStore`:
 
-* **append-only segments** — a ``.bin`` file of concatenated sealed
-  payloads plus a canonical-JSON metadata sidecar carrying sources,
-  indices, labels, nonces, payload offsets, and per-record digests;
+* **append-only segments** — a ``.bin`` file of packed records (each
+  record's source, index, label and nonce ahead of its sealed payload;
+  see :func:`pack_records`) plus a canonical-JSON metadata sidecar
+  carrying the contributor, the record count, per-record content digests
+  and the quarantine reason;
 * **content addressing** — each segment is identified by a SHA-256 digest
   over its payload bytes and metadata; the manifest lists committed
   segments and quarantined segments in separate lanes, and the whole
@@ -21,8 +23,16 @@ their own lane: they are preserved as forensic evidence with the reason
 they were refused, but :meth:`iter_records` — the path training reads —
 never yields them.
 
+Attribution resolves linkage hits through :meth:`locate_record`, backed
+by a record locator: per lane, ``(source, index)`` → (segment, byte
+offset, byte length, sidecar digest). It is built by one pass over the
+segments on the first lookup and extended by every later append from
+the records in hand. A lookup reads only that record's bytes and checks
+them against the key and the sidecar digest before answering.
+
 Integrity checks are fail-closed: :meth:`verify` raises
-:class:`~repro.errors.LedgerError` on the first digest mismatch.
+:class:`~repro.errors.LedgerError` on the first digest mismatch, and so
+does a located record that fails its checks.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.data.encryption import EncryptedRecord
 from repro.errors import LedgerError, SealingError
@@ -62,6 +73,31 @@ def record_digest(record: EncryptedRecord) -> bytes:
     )
 
 
+def _record_parts(record: EncryptedRecord) -> Tuple[bytes, ...]:
+    """One record's packed bytes: ``meta-len | meta-json | sealed-len | sealed``."""
+    meta = canonical_json({
+        "source": record.source_id, "index": record.index,
+        "label": record.label, "nonce": record.nonce.hex(),
+    })
+    return (struct.pack("<I", len(meta)), meta,
+            struct.pack("<Q", len(record.sealed)), record.sealed)
+
+
+def _pack(records: Sequence[EncryptedRecord],
+          ) -> Tuple[bytes, List[Tuple[int, int]]]:
+    """:func:`pack_records` plus each record's ``(offset, length)``."""
+    out = [struct.pack("<I", len(records))]
+    spans: List[Tuple[int, int]] = []
+    offset = 4
+    for record in records:
+        parts = _record_parts(record)
+        length = sum(map(len, parts))
+        spans.append((offset, length))
+        offset += length
+        out.extend(parts)
+    return b"".join(out), spans
+
+
 def pack_records(records: Sequence[EncryptedRecord]) -> bytes:
     """Serialize records to one canonical blob (chunk and segment payloads).
 
@@ -69,41 +105,46 @@ def pack_records(records: Sequence[EncryptedRecord]) -> bytes:
     everything length-prefixed, so equal record sequences always produce
     equal bytes.
     """
-    out = [struct.pack("<I", len(records))]
-    for record in records:
-        meta = canonical_json({
-            "source": record.source_id, "index": record.index,
-            "label": record.label, "nonce": record.nonce.hex(),
-        })
-        out.append(struct.pack("<I", len(meta)))
-        out.append(meta)
-        out.append(struct.pack("<Q", len(record.sealed)))
-        out.append(record.sealed)
-    return b"".join(out)
+    return _pack(records)[0]
+
+
+def _unpack_at(blob: bytes, offset: int) -> Tuple[EncryptedRecord, int]:
+    """Decode the packed record at ``offset``; returns it and its end."""
+    (meta_len,) = struct.unpack_from("<I", blob, offset)
+    offset += 4
+    meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
+    offset += meta_len
+    (sealed_len,) = struct.unpack_from("<Q", blob, offset)
+    offset += 8
+    sealed = blob[offset : offset + sealed_len]
+    offset += sealed_len
+    return EncryptedRecord(
+        source_id=meta["source"], index=meta["index"],
+        label=meta["label"], nonce=bytes.fromhex(meta["nonce"]),
+        sealed=sealed,
+    ), offset
+
+
+def _unpack_spans(blob: bytes,
+                  ) -> Tuple[List[EncryptedRecord], List[Tuple[int, int]]]:
+    """Inverse of :func:`_pack`."""
+    (count,) = struct.unpack_from("<I", blob, 0)
+    offset = 4
+    records: List[EncryptedRecord] = []
+    spans: List[Tuple[int, int]] = []
+    for _ in range(count):
+        record, end = _unpack_at(blob, offset)
+        records.append(record)
+        spans.append((offset, end - offset))
+        offset = end
+    if offset != len(blob):
+        raise LedgerError("trailing bytes after the last packed record")
+    return records, spans
 
 
 def unpack_records(blob: bytes) -> List[EncryptedRecord]:
     """Inverse of :func:`pack_records`."""
-    (count,) = struct.unpack_from("<I", blob, 0)
-    offset = 4
-    records: List[EncryptedRecord] = []
-    for _ in range(count):
-        (meta_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        meta = json.loads(blob[offset : offset + meta_len].decode("utf-8"))
-        offset += meta_len
-        (sealed_len,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        sealed = blob[offset : offset + sealed_len]
-        offset += sealed_len
-        records.append(EncryptedRecord(
-            source_id=meta["source"], index=meta["index"],
-            label=meta["label"], nonce=bytes.fromhex(meta["nonce"]),
-            sealed=sealed,
-        ))
-    if offset != len(blob):
-        raise LedgerError("trailing bytes after the last packed record")
-    return records
+    return _unpack_spans(blob)[0]
 
 
 @dataclass(frozen=True)
@@ -116,6 +157,19 @@ class LedgerSegmentInfo:
     digest: str  # hex SHA-256 over (payload bytes, metadata JSON)
     lane: str = "committed"  # "committed" | "quarantine"
     reason: str = ""         # quarantine lane only
+
+
+class _Slot(NamedTuple):
+    """Where the record locator finds one record."""
+
+    segment: int  # the segment's position in its lane
+    offset: int   # byte span of the packed record in the segment's .bin
+    length: int
+    digest: str   # the record digest the segment's sidecar lists for it
+
+
+#: Lanes in lookup precedence, each with its manifest list.
+_LANES = (("committed", "segments"), ("quarantine", "quarantine"))
 
 
 class ContributionLedger:
@@ -135,6 +189,9 @@ class ContributionLedger:
         # instead of re-hashing the manifest on every event.
         self._digest_memo: Optional[Tuple[int, bytes]] = None
         self._digests: Set[str] = set()
+        # lane -> (source, index) -> _Slot; built by the first
+        # locate_record, then extended by every append.
+        self._locator: Optional[Dict[str, Dict[Tuple[str, int], _Slot]]] = None
         for entry in manifest["segments"]:
             for digest in self._segment_record_digests(entry["name"]):
                 self._digests.add(digest)
@@ -186,7 +243,7 @@ class ContributionLedger:
                                      else "quarantine"]
             prefix = "segment" if lane == "committed" else "quarantine"
             name = f"{prefix}-{len(entries):06d}"
-            payload = pack_records(records)
+            payload, spans = _pack(records)
             meta = {
                 "contributor": contributor,
                 "records": len(records),
@@ -211,6 +268,9 @@ class ContributionLedger:
             if lane == "committed":
                 for digest in meta["digests"]:
                     self._digests.add(digest)
+            if self._locator is not None:
+                self._index_segment(self._locator[lane], len(entries) - 1,
+                                    records, spans, meta["digests"])
             return info
 
     def append(self, records: Sequence[EncryptedRecord],
@@ -324,6 +384,117 @@ class ContributionLedger:
             for record in unpack_records(blob):
                 yield record
 
+    # -- the record locator ------------------------------------------------------
+
+    @staticmethod
+    def _index_segment(table: Dict[Tuple[str, int], _Slot], segment: int,
+                       records: Sequence[EncryptedRecord],
+                       spans: Sequence[Tuple[int, int]],
+                       digests: Sequence[str]) -> None:
+        if len(digests) != len(records):
+            raise LedgerError(
+                f"segment sidecar lists {len(digests)} digests for "
+                f"{len(records)} records"
+            )
+        for record, (offset, length), digest in zip(records, spans, digests):
+            # The first occurrence in a lane wins, as in a front-to-back
+            # scan of the lane.
+            table.setdefault((record.source_id, record.index),
+                             _Slot(segment, offset, length, digest))
+
+    def _build_locator(self) -> Dict[str, Dict[Tuple[str, int], _Slot]]:
+        """Index every segment on disk; the caller holds the lock."""
+        locator: Dict[str, Dict[Tuple[str, int], _Slot]] = {}
+        for lane, key in _LANES:
+            table = locator[lane] = {}
+            for position, entry in enumerate(self._manifest[key]):
+                name = entry["name"]
+                try:
+                    blob = (self.path / f"{name}.bin").read_bytes()
+                    records, spans = _unpack_spans(blob)
+                    digests = self._segment_record_digests(name)
+                except (OSError, ValueError, KeyError, TypeError,
+                        struct.error) as exc:
+                    raise LedgerError(
+                        f"segment {name} is unreadable: {exc}"
+                    ) from exc
+                self._index_segment(table, position, records, spans, digests)
+        return locator
+
+    def _read_slot(self, name: str, slot: _Slot) -> EncryptedRecord:
+        """Read and decode one located record; fail-closed."""
+        try:
+            fd = os.open(self.path / f"{name}.bin", os.O_RDONLY)
+            try:
+                data = os.pread(fd, slot.length, slot.offset)
+            finally:
+                os.close(fd)
+            record, _ = _unpack_at(data, 0)
+        except (OSError, ValueError, KeyError, TypeError,
+                struct.error) as exc:
+            raise LedgerError(
+                f"segment {name}: the record at byte {slot.offset} is "
+                f"unreadable ({exc})"
+            ) from exc
+        # Canonical bytes rule out a short read, trailing bytes, and
+        # edits that decode to the same fields.
+        if b"".join(_record_parts(record)) != data:
+            raise LedgerError(
+                f"segment {name}: the record at byte {slot.offset} is not "
+                "its canonical encoding (tampered or corrupted)"
+            )
+        return record
+
+    def locate_record(self, source_id: str, index: int) -> Dict[str, object]:
+        """Resolve one ``(contributor, record index)`` to ledger evidence.
+
+        Attribution walks linkage hits back to the ledger through this:
+        the result names the lane, segment, segment digest, quarantine
+        reason, and the record's own content digest. The committed lane
+        answers before the quarantine lane, an earlier segment before a
+        later one. Only the located record's bytes are read, and they
+        must decode to this key with the digest the segment's sidecar
+        lists for them. Raises :class:`~repro.errors.LedgerError` when no
+        lane holds the record — a linkage hit with no ledger backing
+        means the linkage store and ledger have diverged — or when the
+        located bytes fail those checks.
+        """
+        with self._lock:
+            if self._locator is None:
+                self._locator = self._build_locator()
+            for lane, key in _LANES:
+                slot = self._locator[lane].get((source_id, index))
+                if slot is not None:
+                    entry = self._manifest[key][slot.segment]
+                    break
+            else:
+                raise LedgerError(
+                    f"no ledger record for source {source_id!r} "
+                    f"index {index}"
+                )
+        record = self._read_slot(entry["name"], slot)
+        if (record.source_id, record.index) != (source_id, index):
+            raise LedgerError(
+                f"segment {entry['name']}: the record at byte {slot.offset} "
+                f"is ({record.source_id!r}, {record.index}), not "
+                f"({source_id!r}, {index})"
+            )
+        digest = record_digest(record).hex()
+        if digest != slot.digest:
+            raise LedgerError(
+                f"segment {entry['name']}: record ({source_id!r}, {index}) "
+                "failed its digest check (tampered or corrupted)"
+            )
+        return {
+            "lane": lane,
+            "segment": entry["name"],
+            "segment_digest": entry["digest"],
+            "contributor": entry["contributor"],
+            "reason": entry.get("reason", ""),
+            "record_digest": digest,
+            "label": record.label,
+        }
+
     # -- integrity and the sealing boundary --------------------------------------
 
     def verify(self) -> bool:
@@ -366,37 +537,6 @@ class ContributionLedger:
                 })
                 self._digest_memo = (version, digest)
             return self._digest_memo[1]
-
-    def locate_record(self, source_id: str, index: int) -> Dict[str, object]:
-        """Resolve one ``(contributor, record index)`` to ledger evidence.
-
-        Attribution walks linkage hits back to the ledger through this:
-        the result names the lane, segment, segment digest, quarantine
-        reason, and the record's own content digest. Raises
-        :class:`~repro.errors.LedgerError` when no lane holds the record
-        — a linkage hit with no ledger backing means the linkage store
-        and ledger have diverged.
-        """
-        with self._lock:
-            lanes = (("committed", list(self._manifest["segments"])),
-                     ("quarantine", list(self._manifest["quarantine"])))
-        for lane, entries in lanes:
-            for entry in entries:
-                blob = (self.path / f"{entry['name']}.bin").read_bytes()
-                for record in unpack_records(blob):
-                    if record.source_id == source_id and record.index == index:
-                        return {
-                            "lane": lane,
-                            "segment": entry["name"],
-                            "segment_digest": entry["digest"],
-                            "contributor": entry["contributor"],
-                            "reason": entry.get("reason", ""),
-                            "record_digest": record_digest(record).hex(),
-                            "label": record.label,
-                        }
-        raise LedgerError(
-            f"no ledger record for source {source_id!r} index {index}"
-        )
 
     def seal_manifest(self, enclave):
         """Seal the manifest digest to ``enclave``'s identity."""

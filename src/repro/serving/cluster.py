@@ -1041,14 +1041,19 @@ class ServingCluster:
             candidates = [r for r in self.replicas
                           if r.healthy and r.breaker.allow()]
             rotation = next(self._rr)
-            submitted: List[Optional[Tuple[object, ServingReplica]]] = []
+            # (future, replica, submit time): a query's latency runs from
+            # its submit, not from when the gather loop reaches it.
+            submitted: List[Optional[Tuple[object, ServingReplica,
+                                           float]]] = []
             for i in range(n):
                 entry = None
                 if candidates:
                     replica = candidates[(rotation + i) % len(candidates)]
                     try:
+                        started = self._clock()
                         entry = (replica.engine.submit(
-                            fingerprints[i], int(labels[i]), k), replica)
+                            fingerprints[i], int(labels[i]), k), replica,
+                            started)
                     except (QueryRejected, ServingError):
                         entry = None
                 submitted.append(entry)
@@ -1059,13 +1064,12 @@ class ServingCluster:
                                          ServingReplica, float]]] = [None] * n
             reroute: List[int] = []
             for i in range(n):
-                started = self._clock()
-                remaining = deadline - started
+                remaining = deadline - self._clock()
                 entry = submitted[i]
                 if entry is None or remaining <= 0:
                     reroute.append(i)
                     continue
-                future, replica = entry
+                future, replica, started = entry
                 try:
                     # Preserve EngineAnswer provenance attributes for the
                     # batched meta-verification below.

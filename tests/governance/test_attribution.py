@@ -122,6 +122,22 @@ class TestRefusals:
         finally:
             engine.stop()
 
+    def test_tampered_located_record_refused(self, attributor, store,
+                                             ledger):
+        fingerprint, label = _query_near(store, 0, scale=0.01)
+        attributor.attribute(fingerprint, label, k=1)  # locator now built
+        record = store.record(0)
+        found = ledger.locate_record(record.source, record.source_index)
+        sealed = next(r.sealed for r in ledger.iter_records()
+                      if (r.source_id, r.index) ==
+                      (record.source, record.source_index))
+        path = ledger.path / f"{found['segment']}.bin"
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(sealed) + len(sealed) - 1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(AttributionError, match="no ledger backing"):
+            attributor.attribute(fingerprint, label, k=1)
+
     def test_stale_promotion_refused(self, engine, store, ledger, log,
                                      gate, run_key, tmp_path):
         record = gate.promote(run_key)

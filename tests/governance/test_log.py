@@ -6,6 +6,8 @@ a fully-written final line the crash kept from being acknowledged.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -69,6 +71,47 @@ class TestRoundTrip:
     def test_open_refuses_missing(self, tmp_path):
         with pytest.raises(GovernanceLogError, match="no governance log"):
             GovernanceLog.open(tmp_path / "nope")
+
+
+class TestConcurrentAppends:
+    def test_threads_keep_one_contiguous_chain(self, tmp_path):
+        log = GovernanceLog.create(tmp_path / "gov")
+        threads_n, per_thread = 8, 25
+        start = threading.Barrier(threads_n)
+        errors = []
+
+        def writer(worker):
+            start.wait()
+            try:
+                for i in range(per_thread):
+                    log.append("attribution", worker=worker, i=i)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(w,))
+                   for w in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        total = threads_n * per_thread
+        assert [e["seq"] for e in log.events()] == list(range(total))
+        assert log.verify()
+        log.close()
+        reopened = GovernanceLog.open(tmp_path / "gov")
+        assert [e["seq"] for e in reopened.events()] == list(range(total))
+        assert reopened.verify()
+        assert sorted((e["details"]["worker"], e["details"]["i"])
+                      for e in reopened.events()) == [
+            (w, i) for w in range(threads_n) for i in range(per_thread)]
+        reopened.close()
 
 
 class TestTamperDetection:

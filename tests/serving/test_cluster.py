@@ -431,6 +431,38 @@ class TestObservability:
             rendered = cluster.telemetry.render()
             assert "success_rate" in rendered
 
+    def test_query_many_latency_runs_from_submit(self, world):
+        # Each submit takes one tick of the injected clock and its answer
+        # is ready before the gather loop starts, so query i's latency is
+        # the n - i ticks between its submit and the end of submission.
+        fingerprints, labels, store = world
+        now = [0.0]
+        cluster = ServingCluster(
+            store, replicas=2,
+            config=ClusterConfig(deadline_s=1000.0, health_interval_s=60.0,
+                                 stop_timeout_s=0.5),
+            engine_config=EngineConfig(workers=2, poll_interval=0.005),
+            index_factory=lambda s: ShardedAnnIndex(s, shard_threshold=100),
+            clock=lambda: now[0],
+        )
+        with cluster:
+            for replica in cluster.replicas:
+                def slow_submit(*args, _submit=replica.engine.submit,
+                                **kwargs):
+                    future = _submit(*args, **kwargs)
+                    future.result()
+                    now[0] += 1.0
+                    return future
+                replica.engine.submit = slow_submit
+            n = 24
+            results = cluster.query_many(fingerprints[:n], labels[:n], k=3)
+            assert [r.latency_s for r in results] == [
+                float(n - i) for i in range(n)]
+            route = cluster.telemetry.snapshot()["stages"]["route"]
+            assert route["count"] == n and route["max"] == float(n)
+            # The rolling window behind the hedge delay saw the same.
+            assert cluster._hedge_delay() >= n - 1
+
     def test_boundary_spans_recorded(self, world):
         fingerprints, labels, store = world
         tracer = Tracer()

@@ -52,6 +52,19 @@ class TestCommands:
         assert "accepted 60 records" in out
         assert "linkage database: 60 records" in out
 
+    def test_train_distributed(self, capsys, tmp_path):
+        code = main([
+            "--seed", "3", "train-distributed", "--workers", "2",
+            "--rounds", "1", "--width-scale", "0.05", "--train-size", "60",
+            "--test-size", "20", "--participants", "2",
+            "--checkpoint-dir", str(tmp_path / "ck"),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "aggregator MRENCLAVE" in out
+        assert "round  0:" in out and "2/2 aggregated" in out
+        assert "aggregation audit trail (VERIFIED)" in out
+
 
 class TestServingCommands:
     def test_build_index(self, capsys, tmp_path):
