@@ -173,7 +173,13 @@ def _pad16(data: bytes) -> bytes:
 
 
 class Aead:
-    """Interface: authenticated encryption with associated data."""
+    """Interface: authenticated encryption with associated data.
+
+    Ciphers supply the tag (:meth:`_tag`) and the counter-mode keystream
+    XOR (:meth:`_crypt`); authentication lives here once, in
+    :meth:`open_prefix`, and each cipher's :meth:`open` is
+    ``open_prefix`` with the full length.
+    """
 
     name = "aead"
 
@@ -183,6 +189,31 @@ class Aead:
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`AuthenticationError` on failure."""
+        raise NotImplementedError
+
+    def open_prefix(self, nonce: bytes, sealed: bytes, aad: bytes,
+                    length: int) -> bytes:
+        """Verify, then decrypt only the first ``length`` plaintext bytes.
+
+        The tag is checked over the whole ciphertext and ``aad`` exactly
+        as :meth:`open` checks it, raising :class:`AuthenticationError`
+        on any mismatch. Only then is ``plaintext[:length]`` returned,
+        and only the keystream blocks covering those bytes are computed.
+        """
+        if length < 0:
+            raise ValueError("prefix length must be >= 0")
+        if len(sealed) < TAG_LEN:
+            raise AuthenticationError("sealed message shorter than the tag")
+        ciphertext, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
+        if not constant_time_equal(tag, self._tag(nonce, ciphertext, aad)):
+            raise AuthenticationError(f"{self.name} tag mismatch")
+        return self._crypt(nonce, ciphertext[:length])
+
+    def _tag(self, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
+        raise NotImplementedError
+
+    def _crypt(self, nonce: bytes, data: bytes) -> bytes:
+        """XOR ``data`` with the keystream from its first block on."""
         raise NotImplementedError
 
 
@@ -205,7 +236,7 @@ class AesGcm(Aead):
         j0 = (ghashed + counter - 1) & ((1 << 128) - 1)
         return j0.to_bytes(16, "big")
 
-    def _ctr_crypt(self, nonce: bytes, data: bytes) -> bytes:
+    def _crypt(self, nonce: bytes, data: bytes) -> bytes:
         out = bytearray()
         for i in range(0, len(data), 16):
             keystream = self._aes.encrypt_block(
@@ -222,17 +253,13 @@ class AesGcm(Aead):
         return (s ^ int.from_bytes(e_j0, "big")).to_bytes(16, "big")
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        ciphertext = self._ctr_crypt(nonce, plaintext)
+        ciphertext = self._crypt(nonce, plaintext)
         return ciphertext + self._tag(nonce, ciphertext, aad)
 
+    # Each cipher defines its own ``open`` (not inherited), so wrapping
+    # one cipher's ``open`` for instrumentation leaves the other alone.
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
-        if len(sealed) < TAG_LEN:
-            raise AuthenticationError("sealed message shorter than the tag")
-        ciphertext, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-        expected = self._tag(nonce, ciphertext, aad)
-        if not constant_time_equal(tag, expected):
-            raise AuthenticationError("AES-GCM tag mismatch")
-        return self._ctr_crypt(nonce, ciphertext)
+        return self.open_prefix(nonce, sealed, aad, len(sealed))
 
 
 class HmacCtrAead(Aead):
@@ -284,7 +311,7 @@ class HmacCtrAead(Aead):
         b = np.frombuffer(keystream, dtype=np.uint8)
         return (a ^ b).tobytes()
 
-    def _xor(self, nonce: bytes, data: bytes) -> bytes:
+    def _crypt(self, nonce: bytes, data: bytes) -> bytes:
         return self._xor_bytes(data, self._keystream(nonce, len(data)))
 
     def _tag(self, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
@@ -293,7 +320,7 @@ class HmacCtrAead(Aead):
         )[:TAG_LEN]
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        ciphertext = self._xor(nonce, plaintext)
+        ciphertext = self._crypt(nonce, plaintext)
         return ciphertext + self._tag(nonce, ciphertext, aad)
 
     def seal_many(
@@ -325,12 +352,7 @@ class HmacCtrAead(Aead):
         return sealed
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
-        if len(sealed) < TAG_LEN:
-            raise AuthenticationError("sealed message shorter than the tag")
-        ciphertext, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-        if not constant_time_equal(tag, self._tag(nonce, ciphertext, aad)):
-            raise AuthenticationError("HMAC-CTR tag mismatch")
-        return self._xor(nonce, ciphertext)
+        return self.open_prefix(nonce, sealed, aad, len(sealed))
 
 
 def new_aead(key: bytes, bulk: bool = True, cipher: Optional[str] = None) -> Aead:

@@ -19,7 +19,8 @@ import numpy as np
 from repro.crypto.aead import Aead, new_aead
 from repro.crypto.keys import SymmetricKey
 from repro.data.datasets import Dataset
-from repro.utils.serialization import array_from_bytes, array_to_bytes, canonical_json
+from repro.utils.serialization import (array_from_bytes, array_to_bytes,
+                                       canonical_digest, canonical_json)
 
 __all__ = [
     "EncryptedRecord",
@@ -40,6 +41,27 @@ class EncryptedRecord:
     label: int
     nonce: bytes
     sealed: bytes  # AEAD ciphertext || tag over the serialized image tensor
+
+    @property
+    def digest(self) -> bytes:
+        """Content address of this record: dedup and audit identity.
+
+        Computed on first use and kept on this object, so admission,
+        deduplication and the ledger sidecar hash each record once. The
+        record is frozen, so the value cannot go stale; it is not a
+        field, so equality and repr ignore it and
+        :func:`dataclasses.replace` yields a record that hashes afresh.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            cached = canonical_digest(
+                {"source": self.source_id, "index": self.index,
+                 "label": self.label, "nonce": self.nonce.hex()},
+                self.sealed,
+            )
+            # A racing first use computes the same bytes; either wins.
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
 
 @dataclass

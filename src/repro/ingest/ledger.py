@@ -65,12 +65,12 @@ LEDGER_FORMAT = 1
 
 
 def record_digest(record: EncryptedRecord) -> bytes:
-    """Content address of one encrypted record (dedup + audit identity)."""
-    return canonical_digest(
-        {"source": record.source_id, "index": record.index,
-         "label": record.label, "nonce": record.nonce.hex()},
-        record.sealed,
-    )
+    """Content address of one encrypted record (dedup + audit identity).
+
+    Hashed once per record object (:attr:`EncryptedRecord.digest`); a
+    record decoded from disk is a new object and hashes its own bytes.
+    """
+    return record.digest
 
 
 def _record_parts(record: EncryptedRecord) -> Tuple[bytes, ...]:

@@ -2,19 +2,29 @@
 
 Every journaled record must pass four gates before it is committed:
 
-1. **AEAD authentication, inside the enclave** — the sealed payload is
-   opened via the ``ingest_verify_records`` ECALL under the contributor's
-   provisioned key; a forged payload, a relabelled record, or a spliced
-   index fails its tag and is *quarantined*, never crashing the pipeline
-   and never reaching the training ledger;
+1. **AEAD authentication, inside the enclave** — the
+   ``ingest_verify_records`` ECALL verifies the record's tag over the
+   whole ciphertext and its AAD under the contributor's provisioned
+   key, then decrypts only the serialized tensor's header (39 bytes for
+   a float32 HWC instance; :meth:`~repro.crypto.aead.Aead.open_prefix`)
+   and parses it (:func:`~repro.utils.serialization.array_spec`). A
+   forged payload, a relabelled record, or a spliced index fails its tag
+   and is quarantined as ``tampered``; an authentic payload that is not
+   a serialized array is quarantined as ``malformed``. Neither crashes
+   the pipeline or reaches the training ledger, and training later
+   re-authenticates and fully decrypts every committed record;
 2. **label domain** — the cleartext label must lie in the agreed domain;
-3. **tensor shape** — the decrypted instance (its shape is reported from
-   inside the enclave; the plaintext itself never leaves) must match the
+3. **tensor shape** — the instance's shape, read from its header inside
+   the enclave (the plaintext itself never leaves), must match the
    agreed input shape;
 4. **duplicate detection** — a sealed ciphertext whose content digest was
    already committed (by this or any other contributor) is quarantined:
    replaying another participant's records is a cheap influence attack
    even without forging a single byte.
+
+Each record's content digest is computed once
+(:attr:`~repro.data.encryption.EncryptedRecord.digest`) and reused by the
+audit trail, the duplicate gates and the ledger's segment sidecar.
 
 Batches are fanned out across a worker pool, and every decision — accept
 or quarantine, with the reason — appends a hash-chained event to the
@@ -31,13 +41,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.audit import AuditLog
-from repro.crypto.aead import new_aead
-from repro.data.encryption import EncryptedRecord, decrypt_record
+from repro.crypto.aead import TAG_LEN, Aead, new_aead
+from repro.data.encryption import EncryptedRecord, record_aad
 from repro.enclave.enclave import Enclave
 from repro.errors import AuthenticationError, ConfigurationError
 from repro.federation.provisioning import provisioned_key
 from repro.ingest.ledger import ContributionLedger, record_digest
 from repro.ingest.telemetry import IngestTelemetry
+from repro.utils.serialization import IncompleteHeader, array_spec
 
 __all__ = ["ValidationConfig", "QuarantinedRecord", "ValidationReport",
            "ValidationPool", "install_ingest_ecalls"]
@@ -45,26 +56,54 @@ __all__ = ["ValidationConfig", "QuarantinedRecord", "ValidationReport",
 
 # -- trusted (in-enclave) function ---------------------------------------------
 
+#: Header bytes of a serialized 3-D float32 tensor (an HWC instance),
+#: the plaintext prefix gate 1 decrypts first: magic (4), dtype length
+#: (4), "<f4" (3), ndim (4) and three 8-byte dimensions.
+_HEADER_BYTES = 39
+
+
+def _authenticated_shape(aead: Aead, record: EncryptedRecord) -> Tuple[int, ...]:
+    """Verify ``record``'s tag, then read its tensor shape from the header.
+
+    Raises :class:`AuthenticationError` on a bad tag and ``ValueError``
+    when the authentic plaintext is not a serialized array. Only the
+    header is decrypted; a header longer than the usual one is reopened
+    at the length :func:`array_spec` asks for.
+    """
+    aad = record_aad(record.source_id, record.index, record.label)
+    length = _HEADER_BYTES
+    while True:
+        head = aead.open_prefix(record.nonce, record.sealed, aad, length)
+        try:
+            return array_spec(head, len(record.sealed) - TAG_LEN)[1]
+        except IncompleteHeader as short:
+            length = short.needed
+
 
 def _ecall_verify_records(enclave: Enclave, contributor_id: str,
                           records: Sequence[EncryptedRecord],
                           cipher: str) -> List[Tuple[str, Optional[Tuple[int, ...]], Optional[int]]]:
     """Trusted: authenticate each record; report (verdict, shape, label).
 
-    The plaintext never crosses the boundary — only the tag verdict and
-    the decrypted tensor's shape, which the untrusted validation workers
-    need for the shape gate.
+    The verdict is ``"ok"``, ``"tampered"`` (the tag fails) or
+    ``"malformed"`` (authentic, but not a serialized array). The
+    plaintext never crosses the boundary — only the verdict and the
+    tensor's shape, which the untrusted validation workers need for the
+    shape gate.
     """
     key_material = provisioned_key(enclave, contributor_id)
     aead = new_aead(key_material, cipher=cipher)
     verdicts: List[Tuple[str, Optional[Tuple[int, ...]], Optional[int]]] = []
     for record in records:
         try:
-            image, label = decrypt_record(record, aead)
+            shape = _authenticated_shape(aead, record)
         except AuthenticationError:
             verdicts.append(("tampered", None, None))
             continue
-        verdicts.append(("ok", tuple(image.shape), int(label)))
+        except ValueError:
+            verdicts.append(("malformed", None, None))
+            continue
+        verdicts.append(("ok", shape, int(record.label)))
     return verdicts
 
 
@@ -100,7 +139,7 @@ class QuarantinedRecord:
     """One refused record and the gate that refused it."""
 
     record: EncryptedRecord
-    reason: str  # "tampered" | "label-domain" | "shape" | "duplicate"
+    reason: str  # "tampered" | "malformed" | "label-domain" | "shape" | "duplicate"
 
 
 @dataclass
@@ -138,17 +177,19 @@ class ValidationPool:
 
     def _verify_batch(self, contributor: str,
                       batch: Sequence[EncryptedRecord]):
-        started = time.perf_counter()
         # The enclave simulator's ECALL boundary is not reentrant; the
         # authenticate stage serializes on it while digesting/gating below
-        # still overlaps across workers.
+        # still overlaps across workers. The stage times the ECALL alone,
+        # not the wait for another worker's.
         with self._ecall_lock:
+            started = time.perf_counter()
             verdicts = self.enclave.ecall(
                 "ingest_verify_records", contributor, list(batch),
                 self.config.cipher,
                 payload_bytes=sum(len(r.sealed) for r in batch),
             )
-        self.telemetry.observe("authenticate", time.perf_counter() - started)
+            elapsed = time.perf_counter() - started
+        self.telemetry.observe("authenticate", elapsed)
         return verdicts
 
     def _gate_batch(self, contributor: str, batch: Sequence[EncryptedRecord],
@@ -158,8 +199,8 @@ class ValidationPool:
         out = []
         for record, (verdict, shape, label) in zip(batch, verdicts):
             digest = record_digest(record)
-            if verdict != "ok":
-                out.append((record, "tampered", digest))
+            if verdict != "ok":  # "tampered" or "malformed"
+                out.append((record, verdict, digest))
                 continue
             if not 0 <= label < self.config.num_classes:
                 out.append((record, "label-domain", digest))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from typing import Any, Tuple
 
@@ -18,6 +19,8 @@ import numpy as np
 __all__ = [
     "array_to_bytes",
     "array_from_bytes",
+    "array_spec",
+    "IncompleteHeader",
     "canonical_digest",
     "canonical_json",
     "stable_hash",
@@ -41,23 +44,94 @@ def array_to_bytes(array: np.ndarray) -> bytes:
     return header + arr.tobytes(order="C")
 
 
-def array_from_bytes(blob: bytes) -> np.ndarray:
-    """Inverse of :func:`array_to_bytes`."""
-    if blob[:4] != _MAGIC:
+class IncompleteHeader(ValueError):
+    """:func:`array_spec` was handed too short a prefix.
+
+    Raised only when the blob is long enough to hold the missing header
+    bytes; ``needed`` is the prefix length to retry with.
+    """
+
+    def __init__(self, needed: int) -> None:
+        super().__init__(f"array header needs a {needed}-byte prefix")
+        self.needed = needed
+
+
+#: Dimensions numpy allows an array (NPY_MAXDIMS): 32 before NumPy 2.
+_MAX_DIMS = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+def array_spec(prefix: bytes,
+               total_length: int) -> Tuple[np.dtype, Tuple[int, ...]]:
+    """Dtype and shape of a serialized array, read from its header alone.
+
+    ``prefix`` is the first bytes of an :func:`array_to_bytes` blob whose
+    full length is ``total_length``; only the header must be present.
+    The header is checked against that length, so this raises
+    :class:`ValueError` for exactly the blobs :func:`array_from_bytes`
+    rejects: bad magic, a truncated header, a dtype numpy cannot parse
+    or cannot build an array of from raw bytes (object and zero-size
+    dtypes), more dimensions than numpy allows, or a payload that is not
+    exactly the shape's worth of items. When the header
+    runs past ``prefix`` but fits in ``total_length`` it raises
+    :class:`IncompleteHeader`, a ``ValueError`` naming the prefix needed.
+    """
+
+    def need(end: int) -> None:
+        if end > total_length:
+            raise ValueError("not a serialized array (truncated header)")
+        if end > len(prefix):
+            raise IncompleteHeader(end)
+
+    need(4)
+    if prefix[:4] != _MAGIC:
         raise ValueError("not a serialized array (bad magic)")
-    offset = 4
-    (dtype_len,) = struct.unpack_from("<I", blob, offset)
+    need(8)
+    (dtype_len,) = struct.unpack_from("<I", prefix, 4)
+    offset = 8 + dtype_len
+    need(offset + 4)
+    try:
+        dtype = np.dtype(prefix[8:offset].decode("ascii"))
+    # numpy's dtype parser raises any of these on a bad spec (a
+    # deprecation warning too, where warnings are errors).
+    except (TypeError, ValueError, SyntaxError, OverflowError,
+            Warning) as exc:
+        raise ValueError(f"not a serialized array (bad dtype: {exc})") from exc
+    if dtype.hasobject or dtype.itemsize == 0:
+        raise ValueError(f"cannot build an array of dtype {dtype} from bytes")
+    # A sub-array dtype such as "3f4" decodes to its base dtype, a whole
+    # sub-array per item.
+    base = dtype.base
+    sub_items = dtype.itemsize // base.itemsize
+    (ndim,) = struct.unpack_from("<I", prefix, offset)
     offset += 4
-    dtype = np.dtype(blob[offset : offset + dtype_len].decode("ascii"))
-    offset += dtype_len
-    (ndim,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    shape: Tuple[int, ...] = ()
-    for _ in range(ndim):
-        (dim,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        shape += (dim,)
-    data = np.frombuffer(blob, dtype=dtype, offset=offset)
+    if ndim > _MAX_DIMS:
+        raise ValueError(f"{ndim} dimensions exceed numpy's {_MAX_DIMS}")
+    need(offset + 8 * ndim)
+    shape = struct.unpack_from(f"<{ndim}Q", prefix, offset)
+    offset += 8 * ndim
+    # numpy refuses a dimension (or a product of the non-zero ones, even
+    # in an empty array) that overflows its index type.
+    extent = base.itemsize
+    for dim in shape:
+        extent *= max(dim, 1)
+        if extent > _INTP_MAX:
+            raise ValueError(f"shape {shape} is too big for numpy")
+    items = math.prod(shape)
+    if items % sub_items or total_length - offset != items * base.itemsize:
+        raise ValueError(
+            f"payload holds {total_length - offset} bytes, not a whole "
+            f"{dtype} array of shape {shape}"
+        )
+    return base, shape
+
+
+def array_from_bytes(blob: bytes) -> np.ndarray:
+    """Inverse of :func:`array_to_bytes`; :func:`array_spec` vets the blob."""
+    dtype, shape = array_spec(blob, len(blob))
+    count = math.prod(shape)
+    data = np.frombuffer(blob, dtype=dtype, count=count,
+                         offset=len(blob) - count * dtype.itemsize)
     return data.reshape(shape).copy()
 
 

@@ -107,6 +107,60 @@ class TestAeadSemantics:
         assert len(sealed) == len(plaintext) + 16
 
 
+@pytest.mark.parametrize("cipher_cls", [AesGcm, HmacCtrAead])
+class TestOpenPrefix:
+    """``open_prefix`` authenticates like ``open``, then decrypts a prefix."""
+
+    NONCE = b"\x03" * 12
+    AAD = b"source=c0;index=4;label=1"
+    # Spans several keystream blocks of both ciphers, plus a ragged tail.
+    PLAINTEXT = bytes(range(256))[:75]
+
+    def _sealed(self, cipher_cls):
+        cipher = cipher_cls(bytes(range(16)))
+        return cipher, cipher.seal(self.NONCE, self.PLAINTEXT, self.AAD)
+
+    def test_matches_open_for_every_length(self, cipher_cls):
+        cipher, sealed = self._sealed(cipher_cls)
+        full = cipher.open(self.NONCE, sealed, self.AAD)
+        assert full == self.PLAINTEXT
+        for n in range(len(sealed) + 2):
+            assert cipher.open_prefix(self.NONCE, sealed, self.AAD, n) == \
+                full[:n]
+
+    def test_negative_length_refused(self, cipher_cls):
+        cipher, sealed = self._sealed(cipher_cls)
+        with pytest.raises(ValueError):
+            cipher.open_prefix(self.NONCE, sealed, self.AAD, -1)
+
+    def test_any_flipped_byte_fails_both(self, cipher_cls):
+        """One flipped bit anywhere in the nonce, AAD, ciphertext or tag
+        fails ``open`` and every ``open_prefix``, even a zero-length one."""
+        cipher, sealed = self._sealed(cipher_cls)
+
+        def flips(blob):
+            for i in range(len(blob)):
+                yield blob[:i] + bytes([blob[i] ^ 0x01]) + blob[i + 1:]
+
+        cases = (
+            [(nonce, sealed, self.AAD) for nonce in flips(self.NONCE)]
+            + [(self.NONCE, sealed, aad) for aad in flips(self.AAD)]
+            + [(self.NONCE, bad, self.AAD) for bad in flips(sealed)]
+        )
+        assert len(cases) == len(self.NONCE) + len(self.AAD) + len(sealed)
+        for nonce, blob, aad in cases:
+            with pytest.raises(AuthenticationError):
+                cipher.open(nonce, blob, aad)
+            for n in (0, 1, 39, len(blob)):
+                with pytest.raises(AuthenticationError):
+                    cipher.open_prefix(nonce, blob, aad, n)
+
+    def test_truncated_sealed_rejected(self, cipher_cls):
+        cipher, _ = self._sealed(cipher_cls)
+        with pytest.raises(AuthenticationError):
+            cipher.open_prefix(self.NONCE, b"short", self.AAD, 0)
+
+
 class TestHmacCtrSpecifics:
     def test_distinct_nonces_distinct_ciphertexts(self):
         cipher = HmacCtrAead(bytes(16))

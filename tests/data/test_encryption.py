@@ -1,6 +1,8 @@
 """Encrypted provisioning format tests."""
 
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from repro.crypto.aead import new_aead
 from repro.crypto.keys import SymmetricKey
 from repro.data.datasets import Dataset
-from repro.data.encryption import (decrypt_record, encrypt_dataset,
-                                   iter_encrypted_records)
+from repro.data.encryption import (EncryptedRecord, decrypt_record,
+                                   encrypt_dataset, iter_encrypted_records)
 from repro.errors import AuthenticationError
 
 
@@ -117,6 +119,51 @@ class TestBulkParity:
         fresh = SymmetricKey(key_id=key.key_id, material=key.material)
         assert chunked == self._record_at_a_time(small, fresh, "p0",
                                                  cipher="aes-128-gcm")
+
+
+class TestRecordDigest:
+    def test_cached_digest_matches_a_fresh_record(self, dataset, key):
+        record = encrypt_dataset(dataset, key, "p0").records[0]
+        twin = dataclasses.replace(record)
+        assert record.digest is record.digest
+        assert record.digest == twin.digest
+
+    def test_cache_outside_equality_and_repr(self, dataset, key):
+        record = encrypt_dataset(dataset, key, "p0").records[0]
+        twin = dataclasses.replace(record)
+        assert record.digest
+        assert record == twin and hash(record) == hash(twin)
+        assert repr(record) == repr(twin)
+
+    def test_replace_yields_a_fresh_digest(self, dataset, key):
+        record = encrypt_dataset(dataset, key, "p0").records[0]
+        before = record.digest
+        relabelled = dataclasses.replace(record, label=record.label + 1)
+        assert relabelled.digest != before
+        rebuilt = EncryptedRecord(
+            source_id=relabelled.source_id, index=relabelled.index,
+            label=relabelled.label, nonce=relabelled.nonce,
+            sealed=relabelled.sealed,
+        )
+        assert relabelled.digest == rebuilt.digest
+        assert dataclasses.replace(relabelled, label=record.label).digest \
+            == before
+
+
+    def test_concurrent_first_use_agrees(self, dataset, key):
+        """Threads racing on first use all see the one canonical digest."""
+        records = encrypt_dataset(dataset, key, "p0").records
+        expected = [dataclasses.replace(r).digest for r in records]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(
+                    lambda _: [r.digest for r in records], range(32)
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(digests == expected for digests in seen)
 
 
 class TestTamperDetection:

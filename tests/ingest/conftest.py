@@ -8,7 +8,9 @@ contribution ledger, validation pool, and gateway over a tmp spool.
 import numpy as np
 import pytest
 
+from repro.crypto.aead import new_aead
 from repro.data.datasets import Dataset
+from repro.data.encryption import EncryptedRecord, record_aad
 from repro.federation.participant import TrainingParticipant
 from repro.federation.provisioning import provision_key
 from repro.federation.server import TrainingServer
@@ -26,6 +28,17 @@ def make_participant(rng, name, n=12):
         y=gen.integers(0, CLASSES, size=n),
     )
     return TrainingParticipant(name, dataset, rng.child(name))
+
+
+def sealed_record(contributor, index, plaintext, label=0):
+    """An authentic record sealing arbitrary plaintext bytes."""
+    nonce = contributor.key.next_nonce()
+    source = contributor.participant_id
+    sealed = new_aead(contributor.key.material).seal(
+        nonce, plaintext, record_aad(source, index, label)
+    )
+    return EncryptedRecord(source_id=source, index=index, label=label,
+                           nonce=nonce, sealed=sealed)
 
 
 @pytest.fixture

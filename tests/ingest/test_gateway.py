@@ -9,6 +9,8 @@ from repro.data.encryption import iter_encrypted_records
 from repro.errors import ConfigurationError, IngestError, UploadRejected
 from repro.ingest import GatewayConfig, IngestGateway, TokenBucket
 
+from tests.ingest.conftest import sealed_record
+
 
 def _records(contributor):
     # A fresh key object per call keeps the nonce stream deterministic, so
@@ -218,6 +220,45 @@ class TestLifecycle:
         assert gateway.open_sessions == 0
         assert gateway.committed_records("c0") == 12
         assert gateway.telemetry.counter("sessions_committed") == 1
+
+    def test_authentic_malformed_record_quarantined(self, gateway, ledger,
+                                                    contributors):
+        """A sealed non-array completes the session: quarantined, in the
+        forensic lane as malformed, the rest committed."""
+        contributor = contributors[0]
+        records = _records(contributor)
+        contributor.key.advance_past(records[-1].nonce)
+        bad = sealed_record(contributor, len(records), b"not an array at all")
+        session = gateway.open_session(contributor.participant_id)
+        for start in range(0, len(records), 4):
+            session.send_chunk(records[start : start + 4])
+        session.send_chunk([bad])
+        receipt = session.complete()
+        assert receipt.committed == len(records)
+        assert receipt.quarantined == 1
+        assert [info.reason for info in ledger.quarantined] == ["malformed"]
+        assert list(ledger.iter_records(lane="quarantine")) == [bad]
+        assert list(ledger.iter_records()) == records
+        assert gateway.telemetry.counter("quarantined_malformed") == 1
+        assert ledger.verify()
+
+    def test_each_record_hashed_once(self, gateway, contributors,
+                                     monkeypatch):
+        """Validation, the commit-time dedup gate and the segment sidecar
+        share one content digest per record."""
+        import repro.data.encryption as encryption
+
+        calls = []
+        original = encryption.canonical_digest
+
+        def counting(*parts):
+            calls.append(parts)
+            return original(*parts)
+
+        monkeypatch.setattr(encryption, "canonical_digest", counting)
+        receipt = _upload_all(gateway, contributors[0])
+        assert receipt.committed == 12
+        assert len(calls) == 12
 
     def test_complete_discards_spool(self, gateway, contributors, tmp_path):
         _upload_all(gateway, contributors[0])

@@ -1,6 +1,8 @@
 """Validation-pipeline tests: gates, quarantine lanes, audit chain."""
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ import pytest
 from repro.data.datasets import Dataset
 from repro.data.encryption import iter_encrypted_records
 from repro.ingest import ValidationConfig, ValidationPool
+from repro.utils.serialization import array_to_bytes
 
-from tests.ingest.conftest import CLASSES, SHAPE
+from tests.ingest.conftest import CLASSES, SHAPE, sealed_record
 
 
 def _records(contributor):
@@ -75,6 +78,49 @@ class TestGates:
         report = validator.validate("c0", records)
         assert report.quarantined_by_reason == {"shape": 3}
 
+    @pytest.mark.parametrize("payload", [
+        b"not an array at all", b"", b"RPR1",
+        # An agreed-shape header with its tensor cut off.
+        array_to_bytes(np.zeros(SHAPE, dtype=np.float32))[:39],
+    ])
+    def test_authentic_malformed_payload_quarantined(self, validator,
+                                                     contributors, payload):
+        """A provisioned contributor sealing a non-array is quarantined as
+        malformed, audited and counted — never raised."""
+        records = _records(contributors[0])
+        bad = sealed_record(contributors[0], len(records), payload)
+        report = validator.validate("c0", records + [bad])
+        assert report.accepted == records
+        assert [(q.record, q.reason) for q in report.quarantined] == \
+            [(bad, "malformed")]
+        verdicts = [e.details["verdict"]
+                    for e in validator.audit.events("ingest-validate")]
+        assert verdicts == ["ok"] * len(records) + ["malformed"]
+        assert validator.telemetry.counter("quarantined_malformed") == 1
+        assert validator.verify_audit_chain()
+
+    def test_long_header_reported_like_any_shape(self, server, ledger,
+                                                 contributors, rng):
+        """A header longer than a float32 HWC one (more dims, a longer
+        dtype string) still reaches the gates with its exact shape."""
+        gen = rng.child("long-header").generator
+        records = [
+            sealed_record(contributors[0], 0, array_to_bytes(
+                gen.random((1,) + SHAPE).astype(np.float32)), label=1),
+            sealed_record(contributors[0], 1, array_to_bytes(
+                gen.random(SHAPE).astype(np.complex128)), label=2),
+        ]
+        verdicts = server.enclave.ecall("ingest_verify_records", "c0",
+                                        records, "hmac-ctr")
+        assert verdicts == [("ok", (1,) + SHAPE, 1), ("ok", SHAPE, 2)]
+        report = ValidationPool(
+            server.enclave,
+            ValidationConfig(num_classes=CLASSES, input_shape=SHAPE),
+            ledger=ledger,
+        ).validate("c0", records)
+        assert report.accepted == [records[1]]
+        assert report.quarantined_by_reason == {"shape": 1}
+
     def test_empty_input(self, validator):
         report = validator.validate("c0", [])
         assert report.accepted == [] and report.quarantined == []
@@ -123,6 +169,37 @@ class TestAudit:
         assert validator.telemetry.counter("records_quarantined") == 1
         assert validator.telemetry.counter("quarantined_tampered") == 1
         assert 0 < validator.telemetry.quarantine_rate < 1
+
+
+class TestTelemetry:
+    def test_authenticate_excludes_ecall_lock_wait(self, validator,
+                                                   contributors):
+        """While another worker holds the ECALL lock, the waiting batch's
+        authenticate observation counts its own ECALL, not the wait."""
+        records = _records(contributors[0])[:4]
+        hold_s = 0.3
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with validator._ecall_lock:
+                held.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert held.wait(timeout=10)
+        timer = threading.Timer(hold_s, release.set)
+        timer.start()
+        started = time.perf_counter()
+        verdicts = validator._verify_batch("c0", records)
+        waited = time.perf_counter() - started
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [v[0] for v in verdicts] == ["ok"] * len(records)
+        assert waited >= hold_s
+        stage = validator.telemetry.stage("authenticate")
+        assert stage.count == 1
+        assert stage.total < hold_s / 2
 
 
 class TestConcurrency:
